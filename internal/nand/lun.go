@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/onfi"
 	"repro/internal/pagebuf"
@@ -124,8 +125,12 @@ type LUN struct {
 	params Params
 	geo    onfi.Geometry
 
-	// Array contents: row index → page data (no entry = erased). Pages
-	// are pooled buffers borrowed from pool; an erase releases them.
+	// Array contents: row index → page data (no entry = erased). A
+	// stored page is immutable: either a pooled buffer borrowed from
+	// pool and owned by this LUN (programs, SeedPage), which an erase or
+	// overwrite releases, or a shared image (SeedImage) that the LUN
+	// only reads and never releases. Reads alias either kind; every
+	// mutator copies into a LUN-owned register first.
 	pages map[uint32]*pagebuf.Buf
 	// pool supplies full-page buffers for programmed pages, shared
 	// process-wide by geometry.
@@ -176,7 +181,7 @@ type LUN struct {
 	regRow      uint32 // the row reg aliases, when regAliased
 	loadAliased bool   // loadData aliases a pooled stored page
 	loadRow     uint32 // the row loadData aliases, when loadAliased
-	erasedFF    []byte // all-0xFF page backing reads of erased rows
+	erasedFF    []byte // shared all-0xFF page backing reads of erased rows
 
 	// Cache-read sequencing.
 	cacheRow     uint32
@@ -194,7 +199,8 @@ type LUN struct {
 	// mp stages multi-plane compositions (see multiplane.go).
 	mp mpState
 
-	// paramPage caches the rendered ONFI parameter page.
+	// paramPage caches the rendered ONFI parameter page, built on the
+	// first READ PARAMETER PAGE.
 	paramPage []byte
 	// phaseOptimal is this instance's clean DQS phase (from Params,
 	// defaulted).
@@ -238,19 +244,38 @@ func NewLUN(p Params) (*LUN, error) {
 		cacheReg:     make([]byte, g.FullPageBytes()),
 		loadBuf:      make([]byte, g.FullPageBytes()),
 		features:     make(map[onfi.FeatureAddr][4]byte),
-		paramPage:    buildParameterPage(p),
+		erasedFF:     erasedPage(g.FullPageBytes()),
 		phaseOptimal: p.PhaseOptimal,
 	}
 	if l.phaseOptimal == 0 {
 		l.phaseOptimal = defaultPhase
 	}
 	l.reg = l.pageReg
-	l.erasedFF = make([]byte, g.FullPageBytes())
-	for i := range l.erasedFF {
-		l.erasedFF[i] = 0xFF
-	}
 	l.powerOnFeatures()
 	return l, nil
+}
+
+// erased shares one read-only all-0xFF page per full-page size across
+// the process, so building a LUN does not fill its own.
+var (
+	erasedMu sync.Mutex
+	erased   = map[int][]byte{}
+)
+
+// erasedPage returns the shared erased page of size bytes. Callers only
+// read it.
+func erasedPage(size int) []byte {
+	erasedMu.Lock()
+	defer erasedMu.Unlock()
+	if pg, ok := erased[size]; ok {
+		return pg
+	}
+	pg := make([]byte, size)
+	for i := range pg {
+		pg[i] = 0xFF
+	}
+	erased[size] = pg
+	return pg
 }
 
 // powerOnFeatures loads the volatile feature registers with their
@@ -428,6 +453,9 @@ func (l *LUN) command(now sim.Time, c onfi.Cmd) error {
 		case onfi.CmdReadID:
 			l.dec = decReadIDAddr
 		case onfi.CmdReadParameterPg:
+			if l.paramPage == nil {
+				l.paramPage = buildParameterPage(l.params)
+			}
 			l.dec = decReadIDAddr
 			l.setDataOut(outParamPage)
 		case onfi.CmdSetFeatures:
@@ -561,9 +589,7 @@ func (l *LUN) address(now sim.Time, b byte) error {
 			// alias is simply dropped rather than materialized.
 			l.reg = l.pageReg
 			l.regAliased = false
-			for i := range l.pageReg {
-				l.pageReg[i] = 0xFF
-			}
+			copy(l.pageReg, l.erasedFF)
 			l.dec = decProgramData
 		}
 	case decPlaneSelAddr:
@@ -894,15 +920,13 @@ func (l *LUN) readArrayInto(row uint32, dst []byte) {
 	if stored, ok := l.pages[row]; ok {
 		copy(dst, stored.Bytes())
 	} else {
-		for i := range dst {
-			dst[i] = 0xFF
-		}
+		copy(dst, l.erasedFF)
 	}
 	l.injectErrors(row, dst)
 }
 
 // cleanSource returns a buffer that can back a pending load without a
-// copy — the stored page itself, or the erased template — when nothing
+// copy — the stored page itself, or the erased page — when nothing
 // (fault corruption, wear-injected bit errors) would mutate the data.
 func (l *LUN) cleanSource(row uint32, fo FaultOutcome) ([]byte, bool) {
 	if fo.Corrupt || l.wearActive(row) {
@@ -942,7 +966,8 @@ func (l *LUN) ownReg() {
 }
 
 // unalias materializes any register/load alias of row before its pooled
-// buffer is released back to the arena.
+// buffer is released back to the arena. (Aliases of a shared image need
+// no care: images are never released.)
 func (l *LUN) unalias(row uint32) {
 	if l.loadAliased && l.loadRow == row {
 		copy(l.loadBuf, l.loadData)
@@ -959,20 +984,33 @@ func (l *LUN) unalias(row uint32) {
 func (l *LUN) storePage(row uint32, data []byte) {
 	buf := l.pool.Get()
 	copy(buf.Bytes(), data)
+	l.setPage(row, buf)
+}
+
+// setPage stores page at row, releasing the page it replaces, and marks
+// the row programmed.
+func (l *LUN) setPage(row uint32, page *pagebuf.Buf) {
 	if old, ok := l.pages[row]; ok {
-		l.unalias(row)
-		old.Release()
+		l.release(row, old)
 	}
-	l.pages[row] = buf
+	l.pages[row] = page
 	l.programmed[row] = true
 }
 
-// dropPage releases row's pooled buffer, if any, and forgets it.
+// dropPage releases row's stored page, if any, and forgets it.
 func (l *LUN) dropPage(row uint32) {
-	if buf, ok := l.pages[row]; ok {
-		l.unalias(row)
-		buf.Release()
+	if old, ok := l.pages[row]; ok {
+		l.release(row, old)
 		delete(l.pages, row)
+	}
+}
+
+// release returns row's stored page to the arena if the LUN owns it; a
+// shared image is left alone.
+func (l *LUN) release(row uint32, page *pagebuf.Buf) {
+	if !page.Shared() {
+		l.unalias(row)
+		page.Release()
 	}
 }
 

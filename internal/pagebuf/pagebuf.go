@@ -4,7 +4,7 @@
 // DRAM — recycles a bounded working set instead of allocating a fresh
 // full page per READ/PROGRAM.
 //
-// Ownership discipline
+// # Ownership discipline
 //
 // A *Buf is borrowed from a Pool with Get and owned exclusively by the
 // borrower until Release. The rules, enforced under `-tags bufdebug`:
@@ -24,6 +24,17 @@
 // use-after-release and double-release, so aliasing shows up as loud
 // 0xDB patterns (or an immediate panic) instead of silent cross-buffer
 // corruption.
+//
+// # Shared images
+//
+// A NAND array page is immutable once stored: a program or seed writes
+// a whole page, and only an erase or a reprogram after one replaces it.
+// So a stored page is either a pooled buffer its LUN owns, or a shared
+// image wrapped with Image — storage built once by its creator and then
+// read, never written, by any number of LUNs, on any goroutine. An
+// image handle has no pool: its holder never releases it (Release
+// panics), and every reader that would change the bytes copies them
+// first.
 package pagebuf
 
 import (
@@ -49,12 +60,25 @@ func (b *Buf) Bytes() []byte {
 func (b *Buf) Len() int { return len(b.data) }
 
 // Release returns the buffer to its pool. The handle and any slice
-// obtained from Bytes are dead afterwards.
+// obtained from Bytes are dead afterwards. Releasing a shared image
+// panics.
 func (b *Buf) Release() {
+	if b.pool == nil {
+		panic(fmt.Sprintf("pagebuf: Release of a shared image (size %d)", len(b.data)))
+	}
 	b.checkLive("Release")
 	b.onRelease()
 	b.pool.p.Put(b)
 }
+
+// Image wraps data as a shared, read-only page image. The caller keeps
+// data alive and unmodified for as long as any holder of the handle
+// reads it; holders never release it.
+func Image(data []byte) *Buf { return &Buf{data: data} }
+
+// Shared reports whether b is a shared image rather than a pooled
+// buffer.
+func (b *Buf) Shared() bool { return b.pool == nil }
 
 // Pool hands out page buffers of one fixed size.
 type Pool struct {

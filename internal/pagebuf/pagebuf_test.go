@@ -64,3 +64,25 @@ func TestAllocGatePagebuf(t *testing.T) {
 		t.Errorf("warmed Get/Release allocated %.1f objects per cycle, want 0", avg)
 	}
 }
+
+func TestImageIsSharedAndUnreleasable(t *testing.T) {
+	data := []byte{1, 2, 3}
+	img := Image(data)
+	if !img.Shared() || img.Len() != 3 || &img.Bytes()[0] != &data[0] {
+		t.Fatalf("Image does not wrap its storage as a shared handle")
+	}
+	b := NewPool(8).Get()
+	defer b.Release()
+	if b.Shared() {
+		t.Error("pooled buffer reports Shared")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Release of a shared image did not panic")
+		}
+		if data[0] != 1 {
+			t.Error("Release of a shared image wrote its storage")
+		}
+	}()
+	img.Release()
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/nand"
 	"repro/internal/onfi"
 	"repro/internal/ops"
+	"repro/internal/pagebuf"
 )
 
 // Copybacker is the optional backend capability of relocating a page
@@ -118,26 +119,33 @@ func (b *hwBackend) EraseBlock(chip, block int, done func(error)) {
 // pattern, installing FTL mappings and seeding the flash arrays directly
 // (no simulated PROGRAM traffic) — how the paper "initializes the
 // devices with data" before its fio runs.
+//
+// A page's pattern (and so its parity) depends on its LPN only through
+// patternKey, so the drive holds at most 256 distinct preloaded pages:
+// each is built once as a shared image — pattern, parity, zero pad —
+// and every row with its key borrows it (nand.LUN.SeedImage).
 func (s *SSD) Preload(lpns int) error {
 	if lpns > s.ftl.LogicalPages() {
 		return fmt.Errorf("ssd: preload of %d pages exceeds logical capacity %d", lpns, s.ftl.LogicalPages())
 	}
-	buf := make([]byte, s.pageBytes+s.parityBytes)
+	var images [256]*pagebuf.Buf
 	for lpn := 0; lpn < lpns; lpn++ {
 		loc, err := s.ftl.AllocateWrite(lpn)
 		if err != nil {
 			return fmt.Errorf("ssd: preload LPN %d: %w", lpn, err)
 		}
-		FillPattern(buf[:s.pageBytes], lpn)
-		if s.withECC {
-			// Encode parity in place in the staging buffer — the
-			// EncodePage-then-copy detour allocated a parity slice per
-			// preloaded page.
-			if err := s.codec.EncodePageInto(buf[s.pageBytes:], buf[:s.pageBytes]); err != nil {
-				return fmt.Errorf("ssd: preload LPN %d: %w", lpn, err)
+		key := patternKey(lpn)
+		if images[key] == nil {
+			page := make([]byte, s.ftl.Geometry().FullPageBytes())
+			FillPattern(page[:s.pageBytes], lpn)
+			if s.withECC {
+				if err := s.codec.EncodePageInto(page[s.pageBytes:s.pageBytes+s.parityBytes], page[:s.pageBytes]); err != nil {
+					return fmt.Errorf("ssd: preload LPN %d: %w", lpn, err)
+				}
 			}
+			images[key] = pagebuf.Image(page)
 		}
-		if err := s.backend.Chip(loc.Chip).SeedPage(loc.Row, buf); err != nil {
+		if err := s.backend.Chip(loc.Chip).SeedImage(loc.Row, images[key]); err != nil {
 			return fmt.Errorf("ssd: preload LPN %d: %w", lpn, err)
 		}
 	}

@@ -10,17 +10,21 @@ import (
 	"repro/internal/sim"
 )
 
-// shardedRun drives one mixed workload — background overwrite churn
-// (GC, erases, copyback) with foreground random reads (urgent-read
-// relay) — on a 4-channel rig at the given shard count, and returns a
-// fingerprint of everything observable: the merged trace, the host
-// results, and the SSD counters. Byte-equal fingerprints across shard
-// counts are the tentpole's acceptance invariant.
+// shardedRun drives one mixed workload — a scan of the preloaded
+// drive, then background overwrite churn (GC, erases, copyback) with
+// foreground random reads (urgent-read relay) — on a 4-channel rig at
+// the given shard count, and returns a fingerprint of everything
+// observable: the merged trace, the host results, and the SSD counters.
+// Byte-equal fingerprints across shard counts are the tentpole's
+// acceptance invariant.
 func shardedRun(t *testing.T, shards int) (string, Stats) {
 	t.Helper()
 	cfg := smallBuild(CtrlBabolRTOS)
 	cfg.Channels = 4
 	cfg.Ways = 1
+	// More than 256 logical pages, so some preloaded LPNs share a
+	// preload image (see Preload).
+	cfg.Params.Geometry.BlocksPerLUN = 20
 	cfg.WithECC = true
 	cfg.UseCopyback = true
 	cfg.SuspendReads = true
@@ -38,11 +42,46 @@ func shardedRun(t *testing.T, shards int) (string, Stats) {
 	if err := rig.SSD.Preload(logical); err != nil {
 		t.Fatal(err)
 	}
+	// The scan reads every preloaded page before any overwrite. Some
+	// preload images back rows on two channels, so under -race the
+	// channel shards read one image concurrently.
+	channels := map[byte]map[int]bool{}
+	for lpn := 0; lpn < logical; lpn++ {
+		loc, _ := rig.FTL.Lookup(lpn)
+		key := patternKey(lpn)
+		if channels[key] == nil {
+			channels[key] = map[int]bool{}
+		}
+		channels[key][loc.Chip] = true // one way per channel: chip = channel
+	}
+	shared := 0
+	for _, chans := range channels {
+		if len(chans) > 1 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no preload image backs rows on two channels")
+	}
+	scan, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+		Pattern: hic.Sequential, Kind: hic.KindRead,
+		NumOps: logical, QueueDepth: 8, LogicalPages: logical,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.Run()
+	if scan.Failed != 0 {
+		t.Fatalf("shards=%d: %d scan reads failed", shards, scan.Failed)
+	}
 
+	// Overwrite churn: enough to keep GC relocating and erasing
+	// throughout the random reads.
+	const churn = 672
 	writes := 0
 	var writeNext func()
 	writeNext = func() {
-		if writes >= logical*3 {
+		if writes >= churn {
 			return
 		}
 		writes++

@@ -702,9 +702,19 @@ func (s *SSD) stagePattern(addr, lpn int) error {
 
 // FillPattern writes the canonical test pattern for a logical page: a
 // repeating LPN-derived sequence, so any read can be verified without
-// storing a model of the whole drive.
+// storing a model of the whole drive. Byte i is patternKey(lpn)^byte(i),
+// so the pattern repeats every 256 bytes: the first period is computed
+// and then doubled with copy.
 func FillPattern(dst []byte, lpn int) {
-	for i := range dst {
-		dst[i] = byte(lpn>>8) ^ byte(lpn) ^ byte(i)
+	key := patternKey(lpn)
+	n := min(len(dst), 256)
+	for i := 0; i < n; i++ {
+		dst[i] = key ^ byte(i)
+	}
+	for ; n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
 	}
 }
+
+// patternKey is the part of an LPN that FillPattern depends on.
+func patternKey(lpn int) byte { return byte(lpn>>8) ^ byte(lpn) }
