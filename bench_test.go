@@ -649,25 +649,15 @@ func BenchmarkFig10Sweep(b *testing.B) {
 }
 
 // simulationSpeed drives one read workload on a fresh rig and returns
-// the virtual time it covered plus, on sharded rigs, the cluster's
-// window and event counts from the armed shard telemetry (zero on the
-// legacy path, which has no windows). Rig construction and preload run
-// with the timer stopped so the metric measures the discrete-event
-// engine, not DRAM zeroing. shards 0 is the legacy single-kernel path;
-// shards ≥ 1 runs the conservative time-window cluster (windowed
-// timestamps include the modeled HostHop, so virtual spans differ
-// slightly from the legacy run — the RTF ratio stays comparable).
-// Arming the telemetry is free by contract: byte-identical results and
-// ~0 allocs/event (TestShardedTelemetryInvariance,
-// TestAllocGateShardTelemetry), so the bench measures the same engine
-// users run.
-func simulationSpeed(b *testing.B, channels, ways, shards int, noPool bool) (virtual sim.Duration, windows, events uint64) {
+// the virtual time it covered. Rig construction and preload run with
+// the timer stopped so the metric measures the discrete-event engine,
+// not DRAM zeroing.
+func simulationSpeed(b *testing.B, channels, ways int, noPool bool) sim.Duration {
 	b.Helper()
 	b.StopTimer()
 	rig, err := ssd.Build(ssd.BuildConfig{
 		Params: benchParams(), Channels: channels, Ways: ways, RateMT: 200,
 		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, NoCoroPool: noPool,
-		Shards: shards, ShardTelemetry: shards >= 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -687,18 +677,11 @@ func simulationSpeed(b *testing.B, channels, ways, shards int, noPool bool) (vir
 		b.Fatal(err)
 	}
 	rig.Run()
-	virtual = sim.Duration(rig.Now())
-	if rig.Telemetry != nil {
-		snap := rig.Telemetry.Snapshot()
-		windows = snap.Windows
-		for _, s := range snap.Shards {
-			events += s.Events
-		}
-	}
+	virtual := sim.Duration(rig.Now())
 	b.StopTimer()
 	rig.Close()
 	b.StartTimer()
-	return virtual, windows, events
+	return virtual
 }
 
 // BenchmarkSimulationSpeed reports how much virtual time one wall-second
@@ -715,44 +698,24 @@ func simulationSpeed(b *testing.B, channels, ways, shards int, noPool bool) (vir
 // Run with -benchmem: allocs/op is the per-workload allocation budget
 // that the kernel's slot-recycling event queue and the controller's
 // coroutine pool together keep flat.
-// The sharded sub-benches measure the conservative time-window cluster
-// at the full-drive shape: shards1 is the windowed single-kernel
-// ablation (protocol cost with zero parallelism), sharded spreads the
-// 8 channels over 8 shard kernels plus the host shard. On a single-core
-// runner the windowed protocol is pure overhead (one barrier per
-// microsecond of virtual time); the shard win needs real CPUs.
 func BenchmarkSimulationSpeed(b *testing.B) {
 	for _, j := range []struct {
 		name           string
 		channels, ways int
-		shards         int
 		noPool         bool
 	}{
-		{"1ch-8way", 1, 8, 0, false},
-		{"1ch-8way-unpooled", 1, 8, 0, true}, // the coro-pool ablation
-		{"full-drive-8ch-8way", 8, 8, 0, false},
-		{"full-drive-8ch-8way-shards1", 8, 8, 1, false},
-		{"full-drive-8ch-8way-sharded", 8, 8, 9, false},
+		{"1ch-8way", 1, 8, false},
+		{"1ch-8way-unpooled", 1, 8, true}, // the coro-pool ablation
+		{"full-drive-8ch-8way", 8, 8, false},
 	} {
 		j := j
 		b.Run(j.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var virtualPerIter sim.Duration
-			var windows, events uint64
 			for i := 0; i < b.N; i++ {
-				v, w, e := simulationSpeed(b, j.channels, j.ways, j.shards, j.noPool)
-				virtualPerIter = v
-				windows += w
-				events += e
+				virtualPerIter = simulationSpeed(b, j.channels, j.ways, j.noPool)
 			}
 			b.ReportMetric(virtualPerIter.Seconds()*float64(b.N)/b.Elapsed().Seconds(), "virtual-s/wall-s")
-			if windows > 0 {
-				// Windowed-protocol self-report from the armed shard
-				// telemetry: how many barrier windows the run paid for
-				// and how much event work each one bought.
-				b.ReportMetric(float64(windows)/b.Elapsed().Seconds(), "windows/s")
-				b.ReportMetric(float64(events)/float64(windows), "ev/window")
-			}
 		})
 	}
 }

@@ -38,43 +38,6 @@ func golden(t *testing.T, name string) string {
 	return string(b)
 }
 
-// The sharded mini trace is the same 4-rig split sweep run under the
-// 2-shard cluster with the shard flight recorder flushed into the trace
-// (regenerate with
-// `go run ./cmd/babolbench -ops 16 -blocks 16 -parallel 1 -shards 2 -shardtrace -trace cmd/babolbench/testdata/mini_shard.jsonl split`,
-// then refresh the goldens from `babolbench analyze` / `-csv analyze`).
-// CI golden-diffs the analyze output of the built binary against the
-// same files and uploads the report as an artifact.
-func TestAnalyzeMiniShardTraceGolden(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "mini_shard.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := analyze.Analyze(events)
-	if len(res.Runs) != 4 {
-		t.Fatalf("runs = %d, want 4", len(res.Runs))
-	}
-	for i, run := range res.Runs {
-		if run.Shards == nil {
-			t.Fatalf("run %d has no shard report", i)
-		}
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("protocol violations in the golden trace: %v", res.Violations)
-	}
-	if got, want := res.Render(), golden(t, "mini_shard.report.golden"); got != want {
-		t.Errorf("report drifted from golden\n got:\n%s\nwant:\n%s", got, want)
-	}
-	if got, want := res.CSV(), golden(t, "mini_shard.csv.golden"); got != want {
-		t.Errorf("CSV drifted from golden\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 // The tenant mini trace is the workload sweep — four solo runs plus the
 // contended run — with host-command events merged in (regenerate with
 // `go run ./cmd/babolbench -ops 8 -parallel 1 -trace cmd/babolbench/testdata/mini_tenants.jsonl workload`,

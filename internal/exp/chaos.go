@@ -85,9 +85,7 @@ func chaosRun(opt Options, seed int64, tracer obs.Tracer) (ChaosPoint, error) {
 		Params: params, Ways: chaosWays, RateMT: 200,
 		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000,
 		WithECC: true, Tracer: tracer, Faults: &plan,
-		NoCoroPool: opt.NoCoroPool,
-		Shards:     opt.Shards, HostHop: opt.HostHop,
-		ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
+		NoCoroPool:    opt.NoCoroPool,
 		MapCacheBytes: opt.MapCacheBytes,
 	})
 	if err != nil {

@@ -51,26 +51,6 @@ type Options struct {
 	// byte equal — so this exists for that comparison and for isolating
 	// pool bugs, not for normal use.
 	NoCoroPool bool
-	// Shards runs every rig under the conservative time-window cluster
-	// (ssd.BuildConfig.Shards): 0 keeps the legacy single-kernel path,
-	// 1 is the windowed single-kernel baseline, ≥2 spreads channels
-	// across shard kernels. Results are byte-identical at every count
-	// ≥ 1 — TestShardedExperimentDeterminism pins CSVs and traces.
-	Shards int
-	// HostHop is the modeled host↔channel hop latency, which doubles as
-	// the cluster lookahead (default 1 µs when Shards > 0).
-	HostHop sim.Duration
-	// ShardTelemetry arms the cluster's shard instrument on every rig
-	// (ssd.BuildConfig.ShardTelemetry). Results and traces are
-	// byte-identical armed or not — TestShardedTelemetryDeterminism pins
-	// it — so this is safe to leave on for live monitoring via Live.
-	ShardTelemetry bool
-	// TraceShardWindows additionally flushes each rig's shard
-	// flight recorder into its trace (ssd.BuildConfig.TraceShardWindows)
-	// so `babolbench analyze` can render the shard report. The extra
-	// events depend on the shard layout, so traces are comparable only
-	// across runs with equal Shards.
-	TraceShardWindows bool
 	// MapCacheBytes bounds the DRAM budget of every rig's FTL
 	// translation map (ssd.BuildConfig.MapCacheBytes): map pages are
 	// demand-paged under the budget and misses charge NAND reads

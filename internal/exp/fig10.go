@@ -66,9 +66,7 @@ func Fig10(opt Options) ([]Fig10Point, error) {
 		mbps, err := readThroughput(ssd.BuildConfig{
 			Params: c.params, Ways: c.luns, RateMT: c.rate,
 			Controller: c.ctrl, CPUMHz: c.mhz, Tracer: tracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
+			NoCoroPool:    opt.NoCoroPool,
 			MapCacheBytes: opt.MapCacheBytes,
 		}, hic.Sequential, opt.Ops, 2*c.luns)
 		if err != nil {

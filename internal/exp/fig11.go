@@ -46,9 +46,7 @@ func Fig11(opt Options) ([]Fig11Result, error) {
 		rig, err := ssd.Build(ssd.BuildConfig{
 			Params: params, Ways: 1, RateMT: 200,
 			Controller: kind, CPUMHz: 1000, Record: true, Tracer: tracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
+			NoCoroPool:    opt.NoCoroPool,
 			MapCacheBytes: opt.MapCacheBytes,
 		})
 		if err != nil {

@@ -50,9 +50,7 @@ func Fig12(opt Options) ([]Fig12Point, error) {
 		mbps, err := readThroughput(ssd.BuildConfig{
 			Params: params, Ways: c.ways, RateMT: 200,
 			Controller: c.ctrl, CPUMHz: 1000, Tracer: tracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
+			NoCoroPool:    opt.NoCoroPool,
 			MapCacheBytes: opt.MapCacheBytes,
 		}, c.pattern, opt.Ops, 4*c.ways)
 		if err != nil {

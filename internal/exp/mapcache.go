@@ -93,9 +93,7 @@ func mapCacheRun(opt Options, budget int64, tracer obs.Tracer) (MapCachePoint, e
 	rig, err := ssd.Build(ssd.BuildConfig{
 		Params: mapCacheParams(), Ways: mapCacheWays, RateMT: 200,
 		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000, Tracer: tracer,
-		NoCoroPool: opt.NoCoroPool,
-		Shards:     opt.Shards, HostHop: opt.HostHop,
-		ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
+		NoCoroPool:    opt.NoCoroPool,
 		MapCacheBytes: budget,
 	})
 	if err != nil {

@@ -7,46 +7,40 @@ import (
 )
 
 // quickBudgets is a short ladder for test-scale op counts: disabled,
-// starved (4 map pages across 4 shards), and comfortable.
+// starved (4 map pages across 4 map shards), and comfortable.
 func quickBudgets() []int64 { return []int64{0, 4 * 512, 32 * 512} }
 
 // TestMapCacheDisabledByteIdentity is the acceptance gate for the
-// tentpole's zero-cost-when-off contract, at the experiment level:
-// with MapCacheBytes explicitly zero, figure CSVs and merged traces
-// are byte-identical across the full shards × parallel grid. The cache
-// must add no events, no decisions, and no reordering when disabled.
+// zero-cost-when-off contract, at the experiment level: with
+// MapCacheBytes explicitly zero, figure CSVs and merged traces are
+// byte-identical at every worker count. The cache must add no events,
+// no decisions, and no reordering when disabled.
 func TestMapCacheDisabledByteIdentity(t *testing.T) {
 	var refCSV string
 	var refTrace []byte
-	first := true
-	for _, shards := range shardCounts {
-		for _, par := range []int{1, 8} {
-			opt := shardQuick()
-			opt.Shards = shards
-			opt.Parallel = par
-			opt.MapCacheBytes = 0
-			var csv string
-			trace := traceRun(t, opt, func(o Options) error {
-				pts, err := Fig12(o)
-				if err == nil {
-					csv = Fig12CSV(pts)
-				}
-				return err
-			})
-			if first {
-				refCSV, refTrace = csv, trace
-				if len(trace) == 0 {
-					t.Fatal("fig12 trace is empty; identity check is vacuous")
-				}
-				first = false
-				continue
+	for i, par := range []int{1, 8} {
+		opt := Options{Ops: 24, WaysList: []int{2}, Blocks: 16, Parallel: par}
+		opt.MapCacheBytes = 0
+		var csv string
+		trace := traceRun(t, opt, func(o Options) error {
+			pts, err := Fig12(o)
+			if err == nil {
+				csv = Fig12CSV(pts)
 			}
-			if csv != refCSV {
-				t.Errorf("fig12 CSV at shards=%d parallel=%d diverged", shards, par)
+			return err
+		})
+		if i == 0 {
+			refCSV, refTrace = csv, trace
+			if len(trace) == 0 {
+				t.Fatal("fig12 trace is empty; identity check is vacuous")
 			}
-			if !bytes.Equal(trace, refTrace) {
-				t.Errorf("fig12 trace at shards=%d parallel=%d diverged", shards, par)
-			}
+			continue
+		}
+		if csv != refCSV {
+			t.Errorf("fig12 CSV at parallel=%d diverged", par)
+		}
+		if !bytes.Equal(trace, refTrace) {
+			t.Errorf("fig12 trace at parallel=%d diverged", par)
 		}
 	}
 }
@@ -122,8 +116,7 @@ func TestMapCacheSweepShape(t *testing.T) {
 // recovery machinery as data reads, per seed, and the drive must still
 // drain and verify.
 func TestChaosWithMapCache(t *testing.T) {
-	opt := shardQuick()
-	opt.Shards = 2
+	opt := Options{Ops: 24, WaysList: []int{2}, Blocks: 16, Parallel: 8}
 	opt.MapCacheBytes = 2048
 	pts, err := Chaos(opt, []int64{1, 2, 3})
 	if err != nil {

@@ -90,9 +90,7 @@ func TimeSplit(opt Options) ([]SplitRow, error) {
 			Params: shrink(nand.Hynix(), opt.Blocks), Ways: 1, RateMT: 200,
 			Controller: c.kind, CPUMHz: c.mhz,
 			Observe: true, Tracer: rigTracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
+			NoCoroPool:    opt.NoCoroPool,
 			MapCacheBytes: opt.MapCacheBytes,
 		})
 		if err != nil {

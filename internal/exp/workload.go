@@ -128,7 +128,7 @@ func DefaultTenants(ops int) []hic.TenantSpec {
 // Workloads runs the many-tenant contention experiment: each tenant
 // solo, then all together, on identically configured rigs. The jobs run
 // under the standard sweep runner, so results and merged traces are
-// byte-identical at any Options.Parallel and any Options.Shards.
+// byte-identical at any Options.Parallel.
 func Workloads(opt Options, cfg WorkloadConfig) (*WorkloadResult, error) {
 	opt = opt.withDefaults()
 	tenants := cfg.Tenants
@@ -226,9 +226,7 @@ func workloadRun(opt Options, cfg WorkloadConfig, queues int, tenants []hic.Tena
 	rig, err := ssd.Build(ssd.BuildConfig{
 		Params: workloadParams(), Ways: workloadWays, RateMT: 200,
 		Controller: ssd.CtrlBabolCoro, CPUMHz: 1000, Tracer: tracer,
-		NoCoroPool: opt.NoCoroPool,
-		Shards:     opt.Shards, HostHop: opt.HostHop,
-		ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
+		NoCoroPool:    opt.NoCoroPool,
 		MapCacheBytes: opt.MapCacheBytes,
 	})
 	if err != nil {
@@ -298,9 +296,7 @@ func ReplayWorkload(opt Options, cfg WorkloadConfig, entries []hic.RecordEntry) 
 		rig, err := ssd.Build(ssd.BuildConfig{
 			Params: workloadParams(), Ways: workloadWays, RateMT: 200,
 			Controller: ssd.CtrlBabolCoro, CPUMHz: 1000, Tracer: tracer,
-			NoCoroPool: opt.NoCoroPool,
-			Shards:     opt.Shards, HostHop: opt.HostHop,
-			ShardTelemetry: opt.ShardTelemetry, TraceShardWindows: opt.TraceShardWindows,
+			NoCoroPool:    opt.NoCoroPool,
 			MapCacheBytes: opt.MapCacheBytes,
 		})
 		if err != nil {

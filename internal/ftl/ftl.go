@@ -87,10 +87,9 @@ type Config struct {
 	// MapShards splits the L2P map into independently locked LPN-range
 	// shards. Shard boundaries are rounded to whole translation-page
 	// groups so a map page never straddles shards. 0 defaults to one
-	// shard per chip; rigs built by internal/ssd size it to the kernel
-	// shard layout instead. The shard count changes locking and memory
-	// granularity only — never any allocation decision — so results are
-	// identical at every count.
+	// shard per chip, which is what rigs built by internal/ssd use. The
+	// shard count changes locking and memory granularity only — never
+	// any allocation decision — so results are identical at every count.
 	MapShards int
 	// MapCacheBytes bounds the DRAM the translation map may occupy:
 	// map pages (groups of L2P entries, one NAND page each) are

@@ -16,6 +16,9 @@ func TestPoolHandsOutFullSizeBuffers(t *testing.T) {
 	}
 }
 
+// raceDetectorEnabled is flipped by pagebuf_race_test.go under -race.
+var raceDetectorEnabled = false
+
 func TestPoolRecyclesStorage(t *testing.T) {
 	p := NewPool(64)
 	b := p.Get()
@@ -25,6 +28,9 @@ func TestPoolRecyclesStorage(t *testing.T) {
 	// released buffer's storage — that recycling is the pool's point.
 	b2 := p.Get()
 	defer b2.Release()
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
 	if &b2.Bytes()[0] != first {
 		t.Error("released buffer was not recycled by the next Get")
 	}

@@ -54,12 +54,6 @@ type BuildConfig struct {
 	ReservedBlocks int            // FTL over-provisioning per chip (default 2)
 	Slots          int            // in-flight DRAM staging slots (default 2×ways)
 	WithECC        bool
-	// MapShards splits the FTL's L2P map into independently locked
-	// LPN-range shards. 0 sizes the map to the kernel shard layout:
-	// one map shard per cluster shard on sharded rigs, one per chip
-	// otherwise. Pure concurrency/memory granularity — results are
-	// identical at any count.
-	MapShards int
 	// MapCacheBytes bounds the DRAM budget of the FTL's translation
 	// map (ftl.Config.MapCacheBytes): map pages are demand-paged under
 	// this budget and misses are charged as NAND reads through the
@@ -97,43 +91,6 @@ type BuildConfig struct {
 	// compare the two paths byte for byte); the switch costs ~5 allocs
 	// and a goroutine spawn per operation.
 	NoCoroPool bool
-	// Shards > 0 splits the rig across event-loop shards: the host
-	// complex on shard 0 and contiguous channel groups on the rest, run
-	// concurrently under a conservative time-window cluster (see
-	// sim.Cluster). Shards is capped at 1+Channels; Shards == 1 keeps
-	// the windowed protocol on a single kernel (the ablation baseline).
-	// Results are byte-identical at every shard count for a given
-	// HostHop; sharded rigs must be driven with Rig.Run, not Rig.Kernel.
-	Shards int
-	// HostHop is the modeled host↔channel-controller hop latency — the
-	// latency of crossing the interconnect between the host-side
-	// assembly (FTL, ECC, slot management) and a channel controller. It
-	// doubles as the cluster's lookahead: a window of HostHop can run on
-	// every shard in parallel. Defaults to 1µs when Shards > 0; setting
-	// HostHop > 0 with Shards == 0 shards fully (1+Channels).
-	HostHop sim.Duration
-	// ShardTelemetry arms the cluster's shard instrument (sharded rigs
-	// only): per-shard window occupancy and barrier/exec wall-clock,
-	// per-(src,dst) mailbox accounting, and a flight recorder of recent
-	// windows, all readable live via Rig.Telemetry.Snapshot while Run is
-	// in flight. Mirrors the fault injector's nil-check-disarmed idiom:
-	// off costs one branch per window, on stays allocation-free in
-	// steady state, and armed telemetry never changes simulation results
-	// or traces (the determinism tests compare on vs. off byte for
-	// byte).
-	ShardTelemetry bool
-	// TraceShardWindows additionally flushes the flight recorder into
-	// the rig's trace stream when Run completes: one
-	// obs.KindShardWindow event per (window, busy shard) plus
-	// obs.KindShardMailbox aggregates — the input to analyze's shard
-	// report. Implies ShardTelemetry. Kept separate because the emitted
-	// events describe the shard layout, so (unlike everything else in
-	// the trace) they vary with the shard count; the telemetry-off
-	// byte-identity contract applies to ShardTelemetry alone.
-	TraceShardWindows bool
-	// FlightRecorder sets the flight-recorder depth in windows;
-	// non-positive means sim.DefaultFlightRecorder.
-	FlightRecorder int
 }
 
 // Rig is a fully wired SSD plus handles to its parts. The singular
@@ -164,41 +121,11 @@ type Rig struct {
 	// BABOL controllers on the rig draw from it; it lives across
 	// operations, GC cycles, and fault-recovery reissues, and is closed
 	// by Rig.Close after the controllers have aborted their operations.
-	// Sharded rigs keep one pool per shard (a pool is single-threaded,
-	// and each shard is its own goroutine); CoroPool then aliases the
-	// first of CoroPools.
 	CoroPool *coro.Pool
-	// CoroPools lists every per-shard pool of a sharded rig.
-	CoroPools []*coro.Pool
 
-	// Cluster is non-nil for sharded rigs (BuildConfig.Shards > 0):
-	// Kernel is then the host shard's kernel, and the rig must be driven
-	// with Run (which runs the cluster and folds the per-domain trace
-	// buffers into Tracer/Metrics), never Kernel.Run alone.
-	Cluster *sim.Cluster
-
-	// Telemetry is the cluster's shard instrument; non-nil iff
-	// BuildConfig.ShardTelemetry (or TraceShardWindows) was set on a
-	// sharded rig. Its Snapshot is safe to read from any goroutine while
-	// Run is in flight — the live feed behind the /shards endpoint.
-	Telemetry *sim.Telemetry
-
-	// sink and domBufs implement the sharded trace discipline: each
-	// domain traces into its own buffer (so no Tracer sees calls from
-	// two shards), and Run merges them into sink by (time, domain).
-	sink    obs.Tracer
-	domBufs []*obs.Buffer
-	// tracer is the resolved event sink of an unsharded rig (cfg.Tracer
-	// composed with Metrics); HostTracer hands it to host-side emitters.
+	// tracer is the resolved event sink (cfg.Tracer composed with
+	// Metrics); HostTracer hands it to host-side emitters.
 	tracer obs.Tracer
-
-	// traceWindows, shardSeqEmitted, and mboxEmitted implement the
-	// TraceShardWindows flush: each Run emits only the windows recorded
-	// since the last flush and per-Run mailbox post deltas, so repeated
-	// Runs never double-count in a replayed stream.
-	traceWindows    bool
-	shardSeqEmitted uint64
-	mboxEmitted     map[[2]int]uint64
 }
 
 // Close releases controller resources: in-flight operation coroutines
@@ -208,16 +135,21 @@ func (r *Rig) Close() {
 	for _, c := range r.Babols {
 		c.Close()
 	}
-	if len(r.CoroPools) > 0 {
-		for _, p := range r.CoroPools {
-			p.Close()
-		}
-		return
-	}
 	if r.CoroPool != nil {
 		r.CoroPool.Close()
 	}
 }
+
+// Run drives the rig to quiescence.
+func (r *Rig) Run() { r.Kernel.Run() }
+
+// Now reports the rig's virtual time.
+func (r *Rig) Now() sim.Time { return r.Kernel.Now() }
+
+// HostTracer returns the tracer host-side code (the HIC frontend and
+// the workload engine) emits into: the rig's resolved sink, or nil when
+// tracing is off.
+func (r *Rig) HostTracer() obs.Tracer { return r.tracer }
 
 // Build assembles an SSD per cfg.
 func Build(cfg BuildConfig) (*Rig, error) {
@@ -243,49 +175,20 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		cfg.Slots = 2 * cfg.Ways * cfg.Channels
 	}
 
-	shards, hop := cfg.Shards, cfg.HostHop
-	if shards == 0 && hop > 0 {
-		shards = 1 + cfg.Channels
-	}
-	if shards > 0 && hop == 0 {
-		hop = sim.Microsecond
-	}
-	if max := 1 + cfg.Channels; shards > max {
-		shards = max
-	}
-
-	var cluster *sim.Cluster
-	var hostDom *sim.Domain
-	var k *sim.Kernel
-	if shards > 0 {
-		cluster = sim.NewCluster(shards, hop)
-		hostDom = cluster.AddDomain(0)
-		k = hostDom.Kernel()
-	} else {
-		k = sim.NewKernel()
-	}
+	k := sim.NewKernel()
 	geo := cfg.Params.Geometry
 	slotSize := geo.PageBytes + geo.SpareBytes
 	memSize := cfg.Slots*slotSize + cfg.Channels*(128<<10) // slots + per-controller scratch
 	mem := dram.New(memSize)
 
-	mapShards := cfg.MapShards
-	if mapShards == 0 && shards > 0 {
-		// Size the map to the kernel shard layout: lock domains in the
-		// translation map line up one-to-one with the cluster's event
-		// domains, so a sharded rig never funnels its channels through
-		// fewer map locks than it has kernels.
-		mapShards = shards
-	}
 	f, err := ftl.NewWithConfig(ftl.Config{
 		Geometry: geo, Chips: cfg.Ways * cfg.Channels,
-		ReservedBlocks: cfg.ReservedBlocks,
-		MapShards:      mapShards, MapCacheBytes: cfg.MapCacheBytes,
+		ReservedBlocks: cfg.ReservedBlocks, MapCacheBytes: cfg.MapCacheBytes,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rig := &Rig{Kernel: k, DRAM: mem, FTL: f, Cluster: cluster}
+	rig := &Rig{Kernel: k, DRAM: mem, FTL: f}
 
 	tracer := cfg.Tracer
 	if cfg.Observe {
@@ -297,33 +200,14 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		}
 	}
 	rig.tracer = tracer
-	if cluster != nil && tracer != nil {
-		// Sharded trace discipline: one buffer per domain, merged into
-		// the real sink (including Metrics) by Rig.Run — a Tracer must
-		// never see calls from two shards.
-		rig.sink = tracer
-		rig.domBufs = make([]*obs.Buffer, 1+cfg.Channels)
-		for i := range rig.domBufs {
-			rig.domBufs[i] = &obs.Buffer{}
-		}
-	}
 
-	poolByShard := make(map[int]*coro.Pool)
 	var backends []Backend
 	for c := 0; c < cfg.Channels; c++ {
-		chK := k
-		var chDom *sim.Domain
-		chTracer := tracer
-		if cluster != nil {
-			chDom = cluster.AddDomain(shardOf(c, cfg.Channels, shards))
-			chK = chDom.Kernel()
-			chTracer = domainTracer(rig.domBufs, 1+c)
-		}
 		var rec *wave.Recorder
 		if cfg.Record {
 			rec = wave.NewRecorder()
 		}
-		ch, err := bus.New(chK, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: cfg.RateMT}, onfi.DefaultTiming(), rec)
+		ch, err := bus.New(k, onfi.BusConfig{Mode: onfi.NVDDR2, RateMT: cfg.RateMT}, onfi.DefaultTiming(), rec)
 		if err != nil {
 			return nil, err
 		}
@@ -333,7 +217,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 				return nil, err
 			}
 			if cfg.Faults != nil {
-				if inj := cfg.Faults.Injector(c*cfg.Ways+i, obs.OnChannel(chTracer, c), i); inj != nil {
+				if inj := cfg.Faults.Injector(c*cfg.Ways+i, obs.OnChannel(tracer, c), i); inj != nil {
 					lun.SetFaults(inj)
 				}
 			}
@@ -343,7 +227,7 @@ func Build(cfg BuildConfig) (*Rig, error) {
 
 		switch cfg.Controller {
 		case CtrlHW:
-			hw := hwctrl.New(chK, ch, mem)
+			hw := hwctrl.New(k, ch, mem)
 			rig.HWs = append(rig.HWs, hw)
 			backends = append(backends, NewHWBackend(hw))
 		case CtrlBabolRTOS, CtrlBabolCoro:
@@ -351,33 +235,17 @@ func Build(cfg BuildConfig) (*Rig, error) {
 			if cfg.Controller == CtrlBabolCoro {
 				profile = cpumodel.Coro()
 			}
-			cpu, err := cpumodel.New(chK, cfg.CPUMHz, profile)
+			cpu, err := cpumodel.New(k, cfg.CPUMHz, profile)
 			if err != nil {
 				return nil, err
 			}
-			// One pool per shard, shared by the channel controllers on
-			// it: all of a shard's controllers run on one goroutine, so
-			// the pool's single-threaded contract holds. Unsharded rigs
-			// are one implicit shard.
-			shard := 0
-			if cluster != nil {
-				shard = shardOf(c, cfg.Channels, shards)
-			}
-			pool := poolByShard[shard]
-			if pool == nil && !cfg.NoCoroPool {
-				pool = coro.NewPool()
-				poolByShard[shard] = pool
-				if cluster != nil {
-					rig.CoroPools = append(rig.CoroPools, pool)
-				}
-				if rig.CoroPool == nil {
-					rig.CoroPool = pool
-				}
+			if rig.CoroPool == nil && !cfg.NoCoroPool {
+				rig.CoroPool = coro.NewPool()
 			}
 			ctrl, err := core.New(core.Config{
-				Kernel: chK, Channel: ch, DRAM: mem, CPU: cpu, TxnQueue: cfg.TxnQueue,
-				Tracer:   obs.OnChannel(chTracer, c),
-				CoroPool: pool, DisableCoroPool: cfg.NoCoroPool,
+				Kernel: k, Channel: ch, DRAM: mem, CPU: cpu, TxnQueue: cfg.TxnQueue,
+				Tracer:   obs.OnChannel(tracer, c),
+				CoroPool: rig.CoroPool, DisableCoroPool: cfg.NoCoroPool,
 			})
 			if err != nil {
 				return nil, err
@@ -387,17 +255,6 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		default:
 			return nil, fmt.Errorf("ssd: unknown controller kind %d", cfg.Controller)
 		}
-		if cluster != nil {
-			// Everything past this point talks to the channel through the
-			// cross-domain funnel.
-			backends[c] = wrapShard(backends[c], hostDom, chDom)
-		}
-	}
-	if cluster != nil && (cfg.ShardTelemetry || cfg.TraceShardWindows) {
-		// Arm after the domain graph is complete — the instrument sizes
-		// its mailbox matrix to the domain count at arming time.
-		rig.Telemetry = cluster.ArmTelemetry(cfg.FlightRecorder)
-		rig.traceWindows = cfg.TraceShardWindows
 	}
 	rig.Channel = rig.Channels[0]
 	if len(rig.Babols) > 0 {
@@ -413,17 +270,11 @@ func Build(cfg BuildConfig) (*Rig, error) {
 		backend = NewMultiBackend(cfg.Ways, backends)
 	}
 
-	ssdTracer := tracer
-	if cluster != nil {
-		// The SSD assembly is host-domain code; its recovery events go
-		// through the host's buffer like everything else.
-		ssdTracer = domainTracer(rig.domBufs, 0)
-	}
 	drive, err := New(Config{
 		Kernel: k, Backend: backend, FTL: f, DRAM: mem,
 		SlotBase: 0, Slots: cfg.Slots, WithECC: cfg.WithECC,
 		UseCopyback: cfg.UseCopyback, SuspendReads: cfg.SuspendReads,
-		Tracer: ssdTracer,
+		Tracer: tracer,
 	})
 	if err != nil {
 		return nil, err

@@ -62,21 +62,9 @@ func (s *SSD) gcMove(chip, victim int, live []int, idx int) {
 			s.maybeGC(chip)
 		}
 		if s.suspendReads {
-			// Sharded rig: the channel's domain owns the urgent queue and
-			// restarts any leftovers itself before completing.
-			if re, ok := s.backend.(relayEraser); ok {
-				if sink, armed := re.eraseBlockRelay(chip, victim, func(err error) {
-					outcome(err)
-					delete(s.eraseQueues, chip)
-					tail()
-				}); armed {
-					s.eraseQueues[chip] = sink
-					return
-				}
-			}
-			// Same-domain backend: the erase pulls from our queue directly,
-			// and we hand leftovers (reads that arrived after the erase's
-			// last check) to the normal path on completion.
+			// The erase pulls from our queue directly, and we hand
+			// leftovers (reads that arrived after the erase's last check)
+			// to the normal path on completion.
 			if ie, ok := s.backend.(InterruptibleEraser); ok {
 				q := &urgentQueue{}
 				s.eraseQueues[chip] = q

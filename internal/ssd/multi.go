@@ -81,21 +81,6 @@ func (m *multiBackend) EraseBlockInterruptible(chip, block int, next func() (ops
 	be.EraseBlock(way, block, done)
 }
 
-// eraseBlockRelay implements relayEraser by forwarding to the chip's
-// channel backend; armed=false (with nothing issued) when that channel
-// cannot relay, so the caller can fall back.
-func (m *multiBackend) eraseBlockRelay(chip, block int, done func(error)) (urgentSink, bool) {
-	be, way := m.route(chip)
-	if re, ok := be.(relayEraser); ok {
-		return re.eraseBlockRelay(way, block, done)
-	}
-	return nil, false
-}
-
-func (p *plainMultiBackend) eraseBlockRelay(chip, block int, done func(error)) (urgentSink, bool) {
-	return p.mb.eraseBlockRelay(chip, block, done)
-}
-
 // CopybackPage implements Copybacker when every channel backend does.
 func (m *multiBackend) CopybackPage(chip int, src, dst onfi.RowAddr, done func(error)) {
 	be, way := m.route(chip)

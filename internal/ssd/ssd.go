@@ -137,10 +137,9 @@ type SSD struct {
 	// reads from surviving chips keep working.
 	degraded bool
 	tracer   obs.Tracer
-	// eraseQueues holds the urgent-read sink for each chip with a
-	// suspendable erase in flight: a same-domain urgentQueue on legacy
-	// rigs, a cross-domain eraseRelay on sharded ones.
-	eraseQueues map[int]urgentSink
+	// eraseQueues holds the urgent-read queue of each chip with a
+	// suspendable erase in flight.
+	eraseQueues map[int]*urgentQueue
 	// stalledWrites wait for GC to free space.
 	stalledWrites []hic.Command
 
@@ -175,7 +174,7 @@ func New(cfg Config) (*SSD, error) {
 		withECC:      cfg.WithECC,
 		useCopyback:  cfg.UseCopyback,
 		suspendReads: cfg.SuspendReads,
-		eraseQueues:  make(map[int]urgentSink),
+		eraseQueues:  make(map[int]*urgentQueue),
 		pageBytes:    geo.PageBytes,
 		parityBytes:  parity,
 		slotSize:     slotSize,

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hic"
@@ -121,24 +122,33 @@ func TestSuspendReadsDataIntegrity(t *testing.T) {
 	}
 }
 
+// TestSuspendIgnoredOnHW sets SuspendReads on the hardware controller,
+// alone and behind the multi-channel backend: neither offers an
+// interruptible erase, so writes with GC complete on the ordinary erase
+// path and no read is served as urgent.
 func TestSuspendIgnoredOnHW(t *testing.T) {
-	cfg := smallBuild(CtrlHW)
-	cfg.Ways = 1
-	cfg.SuspendReads = true
-	rig := mustBuild(t, cfg)
-	logical := rig.FTL.LogicalPages()
-	res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
-		Pattern: hic.Sequential, Kind: hic.KindWrite,
-		NumOps: logical * 3, QueueDepth: 1, LogicalPages: logical,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.Kernel.Run()
-	if res.Failed != 0 {
-		t.Fatalf("%d failed", res.Failed)
-	}
-	if rig.SSD.Stats().UrgentReads != 0 {
-		t.Error("HW backend claimed urgent reads")
+	for _, channels := range []int{1, 2} {
+		t.Run(fmt.Sprintf("channels=%d", channels), func(t *testing.T) {
+			cfg := smallBuild(CtrlHW)
+			cfg.Channels = channels
+			cfg.Ways = 1
+			cfg.SuspendReads = true
+			rig := mustBuild(t, cfg)
+			logical := rig.FTL.LogicalPages()
+			res, err := hic.Run(rig.Kernel, rig.SSD, hic.Workload{
+				Pattern: hic.Sequential, Kind: hic.KindWrite,
+				NumOps: logical * 3, QueueDepth: 1, LogicalPages: logical,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rig.Kernel.Run()
+			if res.Failed != 0 {
+				t.Fatalf("%d failed", res.Failed)
+			}
+			if st := rig.SSD.Stats(); st.GCCycles == 0 || st.UrgentReads != 0 {
+				t.Fatalf("want GC erases and no urgent reads on HW: %+v", st)
+			}
+		})
 	}
 }

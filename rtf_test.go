@@ -13,18 +13,12 @@ import (
 
 // rtfMeasure runs the BenchmarkSimulationSpeed workload shape once and
 // returns virtual-seconds per wall-second. Kept in lockstep with
-// simulationSpeed in bench_test.go: same rig, same workload scaling,
-// same armed shard telemetry on windowed runs — sharded measurements
-// also log windows/s and mean events-per-window so a floor failure
-// comes with the protocol-cost picture attached.
-// shards 0 is the legacy single-kernel path; shards >= 1 runs the
-// conservative time-window cluster.
-func rtfMeasure(t *testing.T, channels, ways, shards int) float64 {
+// simulationSpeed in bench_test.go: same rig, same workload scaling.
+func rtfMeasure(t *testing.T, channels, ways int) float64 {
 	t.Helper()
 	rig, err := ssd.Build(ssd.BuildConfig{
 		Params: benchParams(), Channels: channels, Ways: ways, RateMT: 200,
-		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000, Shards: shards,
-		ShardTelemetry: shards >= 1,
+		Controller: ssd.CtrlBabolRTOS, CPUMHz: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,19 +36,7 @@ func rtfMeasure(t *testing.T, channels, ways, shards int) float64 {
 		t.Fatal(err)
 	}
 	rig.Run()
-	wall := time.Since(start).Seconds()
-	if rig.Telemetry != nil {
-		snap := rig.Telemetry.Snapshot()
-		var events uint64
-		for _, s := range snap.Shards {
-			events += s.Events
-		}
-		if snap.Windows > 0 {
-			t.Logf("shards=%d: %.0f windows/s, %.1f ev/window (%d windows)",
-				shards, float64(snap.Windows)/wall, float64(events)/float64(snap.Windows), snap.Windows)
-		}
-	}
-	return sim.Duration(rig.Now()).Seconds() / wall
+	return sim.Duration(rig.Now()).Seconds() / time.Since(start).Seconds()
 }
 
 // TestRealTimeFactorFloor is the CI gate for simulation speed: the
@@ -63,11 +45,7 @@ func rtfMeasure(t *testing.T, channels, ways, shards int) float64 {
 // development machine measures (see BENCH_9.json's headline) — shared
 // CI runners are slow and noisy — so a failure here means a multi-x
 // regression in the event engine or the operation hot path, not
-// scheduling jitter. The windowed floor additionally guards the
-// conservative-window cluster protocol: at shards=1 the window barrier
-// and mailbox machinery run with zero parallelism, so a cost blow-up in
-// that path (per-window allocation, barrier churn) fails this gate even
-// on a single-core runner. Gated behind RTF_FLOOR_CHECK=1 because any
+// scheduling jitter. Gated behind RTF_FLOOR_CHECK=1 because any
 // wall-clock assertion is machine-dependent by nature.
 func TestRealTimeFactorFloor(t *testing.T) {
 	if os.Getenv("RTF_FLOOR_CHECK") == "" {
@@ -81,32 +59,28 @@ func TestRealTimeFactorFloor(t *testing.T) {
 		CI struct {
 			RTFFloor1ch8way          float64 `json:"rtf_floor_1ch_8way"`
 			RTFFloorFullDrive8ch8way float64 `json:"rtf_floor_full_drive_8ch_8way"`
-			RTFFloorFullDriveWindow  float64 `json:"rtf_floor_full_drive_windowed"`
 		} `json:"ci"`
 	}
 	if err := json.Unmarshal(raw, &bench); err != nil {
 		t.Fatal(err)
 	}
-	if bench.CI.RTFFloor1ch8way <= 0 || bench.CI.RTFFloorFullDrive8ch8way <= 0 ||
-		bench.CI.RTFFloorFullDriveWindow <= 0 {
+	if bench.CI.RTFFloor1ch8way <= 0 || bench.CI.RTFFloorFullDrive8ch8way <= 0 {
 		t.Fatal("BENCH_9.json ci floors missing or zero; the gate is vacuous")
 	}
 	for _, c := range []struct {
 		name           string
 		channels, ways int
-		shards         int
 		floor          float64
 	}{
-		{"1ch-8way", 1, 8, 0, bench.CI.RTFFloor1ch8way},
-		{"full-drive-8ch-8way", 8, 8, 0, bench.CI.RTFFloorFullDrive8ch8way},
-		{"full-drive-8ch-8way-windowed", 8, 8, 1, bench.CI.RTFFloorFullDriveWindow},
+		{"1ch-8way", 1, 8, bench.CI.RTFFloor1ch8way},
+		{"full-drive-8ch-8way", 8, 8, bench.CI.RTFFloorFullDrive8ch8way},
 	} {
 		// Best of three: the floor guards against code regressions, so
 		// one clean run is evidence enough and transient machine noise
 		// should not fail the gate.
 		best := 0.0
 		for i := 0; i < 3; i++ {
-			if rtf := rtfMeasure(t, c.channels, c.ways, c.shards); rtf > best {
+			if rtf := rtfMeasure(t, c.channels, c.ways); rtf > best {
 				best = rtf
 			}
 		}
